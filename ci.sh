@@ -106,7 +106,7 @@ echo "$explain_out" | grep -q "engines agree" || {
 echo "==> serve smoke (cached verdict roundtrip over loopback)"
 serve_dir="$(mktemp -d)"
 serve_pid=""
-trap '[ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null; rm -rf "$serve_dir"' EXIT
+trap '[ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true; rm -rf "$serve_dir"' EXIT
 cargo run --release --offline -q -p swa-workload --example emit_xml -- 100 \
     > "$serve_dir/config.xml"
 ./target/release/swa serve --addr 127.0.0.1:0 --workers 2 \
@@ -159,6 +159,67 @@ wait "$serve_pid" || {
 grep -q "analyses=1" "$serve_dir/serve.log" || {
     echo "serve smoke FAILED: server summary does not show exactly one analysis"
     cat "$serve_dir/serve.log"
+    exit 1
+}
+
+echo "==> large-body gate (a 2 MiB invalid request gets its typed 4xx within 10 s)"
+# The request front end must run in linear time: a 2 MiB envelope is
+# decoded, parsed and rejected by validation (a window past the
+# hyperperiod) without simulating anything.
+{
+    printf '<?xml version="1.0" encoding="UTF-8"?>\n<configuration>\n<!-- '
+    head -c 2097152 /dev/zero | tr '\0' 'x'
+    printf ' -->\n'
+    cat <<'XML'
+  <coreTypes><coreType name="generic"/></coreTypes>
+  <modules><module name="M0"><core name="M0.cpu0" type="generic"/></module></modules>
+  <partitions>
+    <partition name="P0" scheduler="FPPS" module="M0" core="0">
+      <task name="t0" priority="1" period="100" deadline="100">
+        <wcet coreType="generic" value="2"/>
+      </task>
+      <window start="0" end="500"/>
+    </partition>
+  </partitions>
+</configuration>
+XML
+} > "$serve_dir/large.xml"
+./target/release/swa serve --addr 127.0.0.1:0 --workers 1 \
+    --addr-file "$serve_dir/addr_large.txt" > "$serve_dir/serve_large.log" 2>&1 &
+serve_pid=$!
+tries=0
+while [ ! -s "$serve_dir/addr_large.txt" ]; do
+    tries=$((tries + 1))
+    if [ "$tries" -gt 100 ]; then
+        echo "large-body gate FAILED: server never published its address"
+        kill "$serve_pid" 2>/dev/null || true
+        exit 1
+    fi
+    sleep 0.1
+done
+addr="$(cat "$serve_dir/addr_large.txt")"
+large_status=0
+large="$(timeout 10 ./target/release/swa request "$addr" "$serve_dir/large.xml" 2>&1)" || large_status=$?
+if [ "$large_status" -eq 124 ]; then
+    echo "large-body gate FAILED: no response to a 2 MiB body within 10 s"
+    kill "$serve_pid" 2>/dev/null || true
+    exit 1
+fi
+echo "$large" | grep -q '"error":"invalid-model"' || {
+    echo "large-body gate FAILED: expected a typed 422 invalid-model rejection"
+    echo "$large" | head -c 2000
+    kill "$serve_pid" 2>/dev/null || true
+    exit 1
+}
+./target/release/swa request "$addr" --shutdown > /dev/null
+wait "$serve_pid" || {
+    echo "large-body gate FAILED: server exited non-zero"
+    cat "$serve_dir/serve_large.log"
+    exit 1
+}
+grep -q "analyses=0" "$serve_dir/serve_large.log" || {
+    echo "large-body gate FAILED: the rejected request reached the simulator"
+    cat "$serve_dir/serve_large.log"
     exit 1
 }
 

@@ -163,7 +163,7 @@ COMMANDS:
                   --cache-bytes <n>   verdict-cache byte budget (default 16 MiB)
                   --checkpoint-bytes <n>  checkpoint-store byte budget for
                                       warm-starting longer-horizon repeats
-                                      (default 16 MiB; 0 = off)
+                                      (default 0 = off)
                   --state-dir <dir>   durable tiered storage: verdicts and
                                       checkpoints persist across restarts
                   --io-timeout-ms <n> per-connection socket read/write

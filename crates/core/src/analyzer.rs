@@ -390,17 +390,55 @@ impl<'a> Analyzer<'a> {
         let config = self.config.expect(
             "Analyzer has no configuration bound; use Analyzer::new(&config) or analyze(&config)",
         );
-        let wants_events = self.recorder.as_ref().is_some_and(|r| r.wants_events());
-        // Compositional analysis applies only where it is sound and
-        // observationally equivalent: no topology (keys and decomposition
-        // do not cover one), no forensics replay and no event streaming
-        // (both are whole-run features).
-        if self.compositional && self.topology.is_none() && !self.explain && !wants_events {
+        if self.compositional && self.composes() {
             if let Decomposition::Modules(parts) = decompose(config) {
                 return self.run_compositional(config, &parts);
             }
         }
         self.run_whole(config)
+    }
+
+    /// Whether per-module analysis is sound and observationally
+    /// equivalent under these settings: no topology (keys and
+    /// decomposition do not cover one), no forensics replay and no event
+    /// streaming (both are whole-run features).
+    pub(crate) fn composes(&self) -> bool {
+        let wants_events = self.recorder.as_ref().is_some_and(|r| r.wants_events());
+        self.topology.is_none() && !self.explain && !wants_events
+    }
+
+    /// Analyzes module sub-configurations on the batch engine with these
+    /// settings, one report per configuration in order. With `reuse` the
+    /// runs share this analyzer's checkpoint store and cache, so reuse is
+    /// per module; without it they are cold and record nothing. Batch-level
+    /// metrics are not recorded: callers record the composed run once.
+    pub(crate) fn run_modules(
+        &self,
+        configs: &[Configuration],
+        reuse: bool,
+    ) -> Result<Vec<AnalysisReport>, PipelineError> {
+        if configs.is_empty() {
+            return Ok(Vec::new());
+        }
+        let options = BatchOptions {
+            parallelism: self.parallelism,
+            mode: BatchMode::Exhaustive,
+            tie_break: self.tie_break.clone(),
+            engine: self.engine,
+            recorder: None,
+            checkpoints: self.checkpoints.clone().filter(|_| reuse),
+            cache: self.cache.clone().filter(|_| reuse),
+            compositional: false,
+            hyperperiods: self.hyperperiods,
+        };
+        Ok(run_batch(configs, &options)?
+            .results
+            .into_iter()
+            .map(|r| {
+                r.expect("exhaustive mode evaluates every sub-configuration")
+                    .report
+            })
+            .collect())
     }
 
     /// The per-module analysis: fan the extracted sub-configurations over
@@ -412,46 +450,20 @@ impl<'a> Analyzer<'a> {
         parts: &[ModulePart],
     ) -> Result<AnalysisReport, PipelineError> {
         let configs: Vec<Configuration> = parts.iter().map(|p| p.sub.clone()).collect();
-        let options = BatchOptions {
-            parallelism: self.parallelism,
-            mode: BatchMode::Exhaustive,
-            tie_break: self.tie_break.clone(),
-            engine: self.engine,
-            // Batch-level metrics would double-count the phases the
-            // composed report already sums; the recorder sees the
-            // composition once, below.
-            recorder: None,
-            checkpoints: self.checkpoints.clone(),
-            cache: self.cache.clone(),
-            compositional: false,
-            hyperperiods: self.hyperperiods,
-        };
-        let outcome = run_batch(&configs, &options)?;
+        let reports = self.run_modules(&configs, true)?;
 
         let mut analyses = Vec::with_capacity(parts.len());
         let mut events: Vec<SysEvent> = Vec::new();
         let mut metrics = RunMetrics::default();
-        for (part, result) in parts.iter().zip(&outcome.results) {
-            let report = &result
-                .as_ref()
-                .expect("exhaustive mode evaluates every sub-configuration")
-                .report;
+        for (part, report) in parts.iter().zip(reports) {
             events.extend(report.trace.events.iter().map(|e| SysEvent {
                 kind: e.kind,
                 task: part.global_task(e.task),
                 job: e.job,
                 time: e.time,
             }));
-            metrics.build += report.metrics.build;
-            metrics.compile.time += report.metrics.compile.time;
-            metrics.compile.programs += report.metrics.compile.programs;
-            metrics.compile.ops += report.metrics.compile.ops;
-            metrics.simulate += report.metrics.simulate;
-            metrics.analyze += report.metrics.analyze;
-            metrics.nsa_events += report.metrics.nsa_events;
-            metrics.steps += report.metrics.steps;
-            metrics.wheel_wakeups += report.metrics.wheel_wakeups;
-            analyses.push(report.analysis.clone());
+            metrics.add(&report.metrics);
+            analyses.push(report.analysis);
         }
         // Merge the module traces on the shared global timeline. The sort
         // is stable, so within a module (and within equal times, across

@@ -35,8 +35,9 @@ use std::fmt;
 use swa_ima::{Configuration, SchedulerKind};
 
 /// Bumped whenever the canonical encoding changes, so entries produced by
-/// older encoders can never alias newer ones.
-const CANON_VERSION: u8 = 1;
+/// older encoders can never alias newer ones. Version 1 wrote fixed-width
+/// little-endian fields; version 2 writes LEB128 varints.
+const CANON_VERSION: u8 = 2;
 
 /// A 128-bit content hash of a canonical analysis request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -123,7 +124,7 @@ pub fn canonical_config_bytes(config: &Configuration) -> Vec<u8> {
 
 /// The shared configuration body encoder used by both request and
 /// configuration canonicalization.
-fn write_config_body(w: &mut Writer, config: &Configuration) {
+fn write_config_body(w: &mut impl Sink, config: &Configuration) {
     w.len(config.core_types.len());
     for ct in &config.core_types {
         w.str(&ct.name);
@@ -262,34 +263,95 @@ fn finalize(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Fixed-order little-endian encoder with length prefixes.
+/// Fixed-order encoder with length prefixes. Lengths and `u32`s are
+/// unsigned LEB128 varints and `i64`s are zigzag LEB128, so small values
+/// (the common case: indices, periods, WCETs) take one or two bytes. A
+/// varint is self-delimiting, so the encoding stays prefix-free and hence
+/// injective over structurally distinct requests.
 #[derive(Default)]
 struct Writer {
     out: Vec<u8>,
 }
 
 impl Writer {
+    fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            // Truncation keeps the low seven bits plus the continuation bit.
+            #[allow(clippy::cast_possible_truncation)]
+            self.out.push((v as u8) | 0x80);
+            v >>= 7;
+        }
+        #[allow(clippy::cast_possible_truncation)]
+        self.out.push(v as u8);
+    }
+}
+
+/// The field encoder the configuration body is written through.
+trait Sink {
+    fn u8(&mut self, v: u8);
+    fn u32(&mut self, v: u32);
+    fn i64(&mut self, v: i64);
+    fn len(&mut self, v: usize);
+    fn raw(&mut self, bytes: &[u8]);
+
+    fn str(&mut self, s: &str) {
+        self.len(s.len());
+        self.raw(s.as_bytes());
+    }
+}
+
+impl Sink for Writer {
     fn u8(&mut self, v: u8) {
         self.out.push(v);
     }
 
     fn u32(&mut self, v: u32) {
-        self.out.extend_from_slice(&v.to_le_bytes());
+        self.varint(u64::from(v));
     }
 
     fn i64(&mut self, v: i64) {
-        self.out.extend_from_slice(&v.to_le_bytes());
+        // Zigzag: 0, -1, 1, -2, ... map to 0, 1, 2, 3, ...
+        #[allow(clippy::cast_sign_loss)]
+        self.varint(((v << 1) ^ (v >> 63)) as u64);
     }
 
     fn len(&mut self, v: usize) {
-        self.out
-            .extend_from_slice(&(u64::try_from(v).expect("length fits u64")).to_le_bytes());
+        self.varint(u64::try_from(v).expect("length fits u64"));
     }
 
-    fn str(&mut self, s: &str) {
-        self.len(s.len());
-        self.out.extend_from_slice(s.as_bytes());
+    fn raw(&mut self, bytes: &[u8]) {
+        self.out.extend_from_slice(bytes);
     }
+}
+
+/// Version-1 canonical request bytes (fixed-width little-endian fields),
+/// as earlier releases wrote them into cache keys and storage records.
+/// Kept for tests that check old entries can never answer new requests.
+#[cfg(test)]
+pub(crate) fn legacy_v1_bytes(config: &Configuration, hyperperiods: u32) -> Vec<u8> {
+    struct FixedWidth(Vec<u8>);
+    impl Sink for FixedWidth {
+        fn u8(&mut self, v: u8) {
+            self.0.push(v);
+        }
+        fn u32(&mut self, v: u32) {
+            self.0.extend_from_slice(&v.to_le_bytes());
+        }
+        fn i64(&mut self, v: i64) {
+            self.0.extend_from_slice(&v.to_le_bytes());
+        }
+        fn len(&mut self, v: usize) {
+            self.0.extend_from_slice(&(v as u64).to_le_bytes());
+        }
+        fn raw(&mut self, bytes: &[u8]) {
+            self.0.extend_from_slice(bytes);
+        }
+    }
+    let mut w = FixedWidth(Vec::new());
+    w.u8(1);
+    w.u32(hyperperiods.max(1));
+    write_config_body(&mut w, config);
+    w.0
 }
 
 #[cfg(test)]
@@ -398,6 +460,135 @@ mod tests {
         let mut changed = config();
         changed.partitions[0].tasks[0].wcet[0] = 11;
         assert_ne!(a.key, canonical_config(&changed).key);
+    }
+
+    fn encode(f: impl FnOnce(&mut Writer)) -> Vec<u8> {
+        let mut w = Writer::default();
+        f(&mut w);
+        w.out
+    }
+
+    const EDGE_I64: [i64; 16] = [
+        0,
+        1,
+        -1,
+        63,
+        64,
+        -64,
+        -65,
+        127,
+        128,
+        -128,
+        -1000,
+        i64::MAX,
+        i64::MAX - 1,
+        i64::MIN,
+        i64::MIN + 1,
+        1 << 40,
+    ];
+    const EDGE_U32: [u32; 9] = [0, 1, 63, 64, 127, 128, 16_383, 16_384, u32::MAX];
+
+    #[test]
+    fn varints_are_compact_and_prefix_free() {
+        assert_eq!(encode(|w| w.i64(0)), [0x00]);
+        assert_eq!(encode(|w| w.i64(-1)), [0x01]);
+        assert_eq!(encode(|w| w.i64(1)), [0x02]);
+        assert_eq!(encode(|w| w.i64(63)), [0x7e]);
+        assert_eq!(encode(|w| w.i64(-64)), [0x7f]);
+        assert_eq!(encode(|w| w.i64(64)), [0x80, 0x01]);
+        assert_eq!(encode(|w| w.u32(127)), [0x7f]);
+        assert_eq!(encode(|w| w.u32(128)), [0x80, 0x01]);
+        assert_eq!(encode(|w| w.u32(u32::MAX)), [0xff, 0xff, 0xff, 0xff, 0x0f]);
+        assert_eq!(encode(|w| w.i64(i64::MAX)).len(), 10);
+        assert_eq!(encode(|w| w.i64(i64::MIN)).len(), 10);
+
+        // A prefix-free code is uniquely decodable: no codeword may start
+        // another one (this also makes them pairwise distinct).
+        let codes: Vec<Vec<u8>> = EDGE_I64
+            .iter()
+            .map(|&v| encode(|w| w.i64(v)))
+            .chain(EDGE_U32.iter().map(|&v| encode(|w| w.u32(v))))
+            .collect();
+        let i64_codes = EDGE_I64.len();
+        for (i, a) in codes.iter().enumerate() {
+            for (j, b) in codes.iter().enumerate() {
+                // Codes of the two field types may coincide; the grammar
+                // never lets one stand where the other is expected.
+                if i != j && (i < i64_codes) == (j < i64_codes) {
+                    assert!(!b.starts_with(a), "code {i} prefixes code {j}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn edge_values_give_distinct_bytes_and_keys() {
+        let mut requests: Vec<(Configuration, u32)> = vec![(config(), 1)];
+        for &v in &EDGE_I64 {
+            let mut offset = config();
+            offset.partitions[0].tasks[0].offset = v;
+            requests.push((offset, 1));
+            let mut priority = config();
+            priority.partitions[0].tasks[1].priority = v;
+            requests.push((priority, 1));
+        }
+        for &v in &EDGE_U32 {
+            let mut core = config();
+            core.binding[0] = CoreRef::new(ModuleId::from_raw(0), v);
+            requests.push((core, 1));
+            requests.push((config(), v.max(1)));
+        }
+        // Edge values that coincide with the base request are the same
+        // request, not a collision.
+        let mut distinct: Vec<(Configuration, u32)> = Vec::new();
+        for r in requests {
+            if !distinct.contains(&r) {
+                distinct.push(r);
+            }
+        }
+        let canon: Vec<CanonicalRequest> =
+            distinct.iter().map(|(c, hp)| canonicalize(c, *hp)).collect();
+        let keys: std::collections::HashSet<CacheKey> = canon.iter().map(|r| r.key).collect();
+        let bytes: std::collections::HashSet<&Vec<u8>> = canon.iter().map(|r| &r.bytes).collect();
+        assert_eq!(keys.len(), distinct.len());
+        assert_eq!(bytes.len(), distinct.len());
+        assert!(distinct.len() >= 40, "only {} distinct requests", distinct.len());
+    }
+
+    /// Each task costs a handful of bytes: typical periods, WCETs and
+    /// priorities fit one or two varint bytes. A regression to fixed-width
+    /// fields (about 59 bytes per task here) fails the bound.
+    #[test]
+    fn canonical_size_per_task_is_bounded() {
+        let with_tasks = |n: usize| {
+            let mut c = config();
+            c.partitions[0].tasks = (0..n)
+                .map(|i| Task::new(format!("t{i}"), i64::try_from(i).unwrap(), vec![25], 1000))
+                .collect();
+            c
+        };
+        let per_task = |encode: &dyn Fn(&Configuration) -> usize| {
+            (encode(&with_tasks(100)) - encode(&with_tasks(0))) / 100
+        };
+        let v2 = per_task(&|c| canonicalize(c, 1).bytes.len());
+        let v1 = per_task(&|c| legacy_v1_bytes(c, 1).len());
+        assert!(v2 <= 14, "{v2} bytes per task");
+        assert!(v1 >= 4 * v2, "v1 {v1} vs v2 {v2} bytes per task");
+    }
+
+    /// The version-1 encoder kept for tests reproduces what earlier
+    /// releases wrote (the key is pinned from one of them), and the
+    /// version bump keeps its entries apart from version-2 ones.
+    #[test]
+    fn legacy_v1_encoding_is_pinned_and_never_aliases_v2() {
+        let v1 = legacy_v1_bytes(&config(), 1);
+        assert_eq!(v1.len(), 278);
+        assert_eq!(hash_bytes(&v1).to_string(), "8bf3ebc4b571ab7edccdf841d34e96b1");
+        let v2 = canonicalize(&config(), 1);
+        assert_eq!(v2.bytes[0], CANON_VERSION);
+        assert_ne!(v1[0], v2.bytes[0]);
+        assert_ne!(hash_bytes(&v1), v2.key);
+        assert!(v2.bytes.len() * 3 < v1.len(), "{} vs {}", v2.bytes.len(), v1.len());
     }
 
     #[test]

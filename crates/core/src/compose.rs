@@ -42,8 +42,12 @@ use std::sync::Arc;
 use swa_ima::{Configuration, CoreRef, ModuleId, PartitionId, TaskRef};
 
 use crate::analysis::{Analysis, JobOutcome};
+use crate::analyzer::Analyzer;
 use crate::cache::{CachedVerdict, VerdictCache};
-use crate::canon::canonicalize;
+use crate::canon::{canonicalize, CanonicalRequest};
+use crate::error::PipelineError;
+use crate::ladder::DecidedBy;
+use crate::obs::RunMetrics;
 
 /// Why a configuration must be analyzed whole instead of per module.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -336,15 +340,28 @@ pub fn compose_cached(parts: &[ModulePart], verdicts: &[Arc<CachedVerdict>]) -> 
 ///
 /// This is the delta-aware reuse path: after one partition of one module
 /// is edited, every *unchanged* module still answers from the cache, and
-/// only the edited module needs fresh analysis before the next composed
-/// lookup succeeds.
+/// only the edited module needs fresh analysis —
+/// [`compositional_verdict`] runs exactly that.
 pub fn compositional_lookup(
     cache: &dyn VerdictCache,
     config: &Configuration,
     hyperperiods: u32,
 ) -> Option<Arc<CachedVerdict>> {
     let whole = canonicalize(config, hyperperiods);
-    if let Some(v) = cache.lookup(&whole) {
+    compositional_lookup_canonical(cache, config, &whole, hyperperiods)
+}
+
+/// As [`compositional_lookup`], for a caller that already holds the
+/// whole configuration's canonical request (`whole` must be
+/// `canonicalize(config, hyperperiods)`). The probe order is the same:
+/// the whole key first, then the module keys in module order.
+pub fn compositional_lookup_canonical(
+    cache: &dyn VerdictCache,
+    config: &Configuration,
+    whole: &CanonicalRequest,
+    hyperperiods: u32,
+) -> Option<Arc<CachedVerdict>> {
+    if let Some(v) = cache.lookup(whole) {
         return Some(v);
     }
     let Decomposition::Modules(parts) = decompose(config) else {
@@ -355,8 +372,85 @@ pub fn compositional_lookup(
         verdicts.push(cache.lookup(&canonicalize(&part.sub, hyperperiods))?);
     }
     let composed = Arc::new(compose_cached(&parts, &verdicts));
-    cache.insert(&whole, composed.clone());
+    cache.insert(whole, composed.clone());
     Some(composed)
+}
+
+/// Summary-level compositional analysis: analyzes only the modules whose
+/// verdict `cache` does not hold, caches each new module verdict under its
+/// module key, and composes the whole verdict from the module summaries
+/// with [`compose_cached`] (inserted under `whole`, which must be
+/// `canonicalize(config, analyzer.hyperperiods())`).
+///
+/// The result equals the cached form of a full
+/// [`Analyzer::compositional`] run, but a one-module edit simulates one
+/// module instead of rebuilding every sibling. Only simulated module
+/// entries are reused: a ladder-decided entry carries no job counts, so
+/// its module is analyzed again.
+///
+/// `analyzer` supplies the engine, tie-break, horizon, parallelism and
+/// recorder; its own cache and checkpoint store are not used (module runs
+/// are cold, keyed here). Returns `None` when the configuration does not
+/// decompose, or when the analyzer asks for a whole-run feature (a
+/// topology, `explain`, event streaming): the caller then runs the full
+/// path.
+///
+/// # Errors
+///
+/// `Some(Err(_))` carries the lowest-index failing module's
+/// [`PipelineError`], as a full compositional run would report it.
+pub fn compositional_verdict(
+    analyzer: &Analyzer<'_>,
+    cache: &dyn VerdictCache,
+    config: &Configuration,
+    whole: &CanonicalRequest,
+) -> Option<Result<Arc<CachedVerdict>, PipelineError>> {
+    if !analyzer.composes() {
+        return None;
+    }
+    let Decomposition::Modules(parts) = decompose(config) else {
+        return None;
+    };
+    let hyperperiods = analyzer.hyperperiods();
+    let keys: Vec<CanonicalRequest> = parts
+        .iter()
+        .map(|p| canonicalize(&p.sub, hyperperiods))
+        .collect();
+    let mut verdicts: Vec<Option<Arc<CachedVerdict>>> = keys
+        .iter()
+        .map(|k| {
+            cache
+                .lookup(k)
+                .filter(|v| v.decided_by == DecidedBy::Simulation)
+        })
+        .collect();
+    let missing: Vec<usize> = (0..parts.len())
+        .filter(|&i| verdicts[i].is_none())
+        .collect();
+    let configs: Vec<Configuration> = missing.iter().map(|&i| parts[i].sub.clone()).collect();
+    let reports = match analyzer.run_modules(&configs, false) {
+        Ok(reports) => reports,
+        Err(e) => return Some(Err(e)),
+    };
+    let mut metrics = RunMetrics::default();
+    for (&i, report) in missing.iter().zip(&reports) {
+        metrics.add(&report.metrics);
+        let verdict = Arc::new(CachedVerdict::from_report(report));
+        cache.insert(&keys[i], Arc::clone(&verdict));
+        verdicts[i] = Some(verdict);
+    }
+    let verdicts: Vec<Arc<CachedVerdict>> = verdicts
+        .into_iter()
+        .map(|v| v.expect("every module is cached or analyzed"))
+        .collect();
+    let composed = Arc::new(compose_cached(&parts, &verdicts));
+    cache.insert(whole, Arc::clone(&composed));
+    if let Some(recorder) = analyzer.attached_recorder() {
+        metrics.record_to(recorder.as_ref());
+        recorder.counter("compose.modules", parts.len() as u64);
+        recorder.counter("compose.modules_analyzed", missing.len() as u64);
+    }
+    Some(Ok(composed))
 }
 
 #[cfg(test)]
@@ -617,5 +711,50 @@ mod tests {
         let before = cache.stats().hits;
         assert!(compositional_lookup(&cache, &config, 1).is_some());
         assert_eq!(cache.stats().hits, before + 1);
+    }
+
+    #[test]
+    fn compositional_verdict_analyzes_only_uncached_modules() {
+        let recorder = Arc::new(crate::MetricsRecorder::new());
+        let analyzer = crate::Analyzer::configure().recorder(recorder.clone());
+        let cache = crate::ShardedVerdictCache::new(1 << 20);
+        let config = two_module_config();
+        let whole = canonicalize(&config, 1);
+        let full = |c: &Configuration| {
+            CachedVerdict::from_report(&crate::Analyzer::new(c).compositional(true).run().unwrap())
+        };
+
+        let cold = compositional_verdict(&analyzer, &cache, &config, &whole)
+            .expect("decomposable")
+            .unwrap();
+        assert_eq!(*cold, full(&config));
+        assert_eq!(recorder.counter_value("compose.modules_analyzed"), 2);
+        assert_eq!(cache.lookup(&whole).as_deref(), Some(&*cold));
+
+        // Overload the EDF partition of M1: M2's verdict is reused.
+        let mut edited = config.clone();
+        edited.partitions[2].tasks[0].wcet = vec![90];
+        let edited_whole = canonicalize(&edited, 1);
+        let composed = compositional_verdict(&analyzer, &cache, &edited, &edited_whole)
+            .expect("decomposable")
+            .unwrap();
+        assert_eq!(*composed, full(&edited));
+        assert!(!composed.schedulable);
+        assert_eq!(recorder.counter_value("compose.modules_analyzed"), 3);
+        assert_eq!(recorder.counter_value("compose.modules"), 4);
+
+        // Whole-run features and non-decomposable configurations decline.
+        let explain = crate::Analyzer::configure().explain(true);
+        assert!(compositional_verdict(&explain, &cache, &config, &whole).is_none());
+        let mut crossing = config.clone();
+        crossing.messages.push(Message::new(
+            "crossing",
+            TaskRef::new(PartitionId::from_raw(0), 1),
+            TaskRef::new(PartitionId::from_raw(1), 0),
+            1,
+            7,
+        ));
+        let crossing_whole = canonicalize(&crossing, 1);
+        assert!(compositional_verdict(&analyzer, &cache, &crossing, &crossing_whole).is_none());
     }
 }

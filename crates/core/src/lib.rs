@@ -88,8 +88,8 @@ pub use canon::{
 pub use checkpoint::{Checkpoint, CheckpointStats, CheckpointStore, ShardedCheckpointStore};
 pub use chains::{chain_latency, ChainError, ChainInstance, ChainLatency};
 pub use compose::{
-    compose_analysis, compose_cached, compositional_lookup, decompose, Decomposition,
-    FallbackReason, ModulePart,
+    compose_analysis, compose_cached, compositional_lookup, compositional_lookup_canonical,
+    compositional_verdict, decompose, Decomposition, FallbackReason, ModulePart,
 };
 pub use error::{ModelError, PipelineError};
 pub use gantt::render_gantt;

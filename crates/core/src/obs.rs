@@ -380,6 +380,20 @@ impl RunMetrics {
         self.build + self.compile.time + self.simulate + self.analyze
     }
 
+    /// Adds another run's phases and counters to this one (a composed
+    /// run's metrics are the sums over its modules).
+    pub fn add(&mut self, other: &RunMetrics) {
+        self.build += other.build;
+        self.compile.time += other.compile.time;
+        self.compile.programs += other.compile.programs;
+        self.compile.ops += other.compile.ops;
+        self.simulate += other.simulate;
+        self.analyze += other.analyze;
+        self.nsa_events += other.nsa_events;
+        self.steps += other.steps;
+        self.wheel_wakeups += other.wheel_wakeups;
+    }
+
     /// Emits this snapshot into `recorder` under the canonical names
     /// (spans `build`/`compile`/`simulate`/`analyze`, counters
     /// `compile.programs`, `compile.ops`, `sim.events`, `sim.steps`,

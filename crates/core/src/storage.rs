@@ -1465,6 +1465,46 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Segments written before the canonical encoding moved to version 2
+    /// hold version-1 bytes (keyed by their hash). After the upgrade such
+    /// records read as misses, never as a verdict for a version-2 request,
+    /// and the re-analyzed verdict supersedes them.
+    #[test]
+    fn version_1_records_read_as_misses_after_the_encoding_bump() {
+        let dir = tmp_dir("verdict-v1");
+        let current = canonicalize(&config(10), 1);
+        let v1 = crate::canon::legacy_v1_bytes(&config(10), 1);
+        {
+            let store = TieredVerdictCache::open_with(&dir, 1 << 20, fg(), None).unwrap();
+            // What an earlier release appended…
+            store.insert(
+                &CanonicalRequest {
+                    key: crate::canon::hash_bytes(&v1),
+                    bytes: v1.clone(),
+                },
+                verdict(false),
+            );
+            // …and, worst case, a version-1 record under the new key.
+            store.insert(
+                &CanonicalRequest {
+                    key: current.key,
+                    bytes: v1,
+                },
+                verdict(false),
+            );
+        }
+        let store = TieredVerdictCache::open_with(&dir, 1 << 20, fg(), None).unwrap();
+        assert_eq!(store.disk_stats().live_records, 2);
+        assert!(store.lookup(&current).is_none(), "a version-1 record answered");
+        assert_eq!(store.disk_stats().disk_misses, 1);
+        store.insert(&current, verdict(true));
+        drop(store);
+
+        let store = TieredVerdictCache::open_with(&dir, 1 << 20, fg(), None).unwrap();
+        assert_eq!(*store.lookup(&current).expect("re-warmed"), *verdict(true));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn torn_tail_is_truncated_and_prior_records_survive() {
         let dir = tmp_dir("torn-tail");

@@ -42,6 +42,7 @@ impl Json {
     /// violation.
     pub fn parse(text: &str) -> Result<Self, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -123,6 +124,7 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -264,13 +266,16 @@ impl Parser<'_> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar (input is a &str, so bytes are
-                    // valid UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = s.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the whole unescaped run at once. It ends at the
+                    // next `"`, `\` or control byte; all are ASCII, so
+                    // both ends are char boundaries of the `&str` input.
+                    let start = self.pos;
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(self.bytes.len() - start);
+                    self.pos += run;
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -437,6 +442,91 @@ mod tests {
         assert!(Json::parse(&objects(deepest_ok - 1)).is_ok());
         let err = Json::parse(&objects(deepest_ok)).unwrap_err();
         assert!(err.to_string().contains("nesting too deep"), "got: {err}");
+    }
+
+    /// A body at the HTTP layer's size limit parses in linear time: the
+    /// string scanner copies unescaped runs whole instead of re-validating
+    /// the rest of the input for every character.
+    #[test]
+    fn max_body_envelope_parses_in_linear_time() {
+        let max = crate::http::MAX_BODY;
+        let head = "{\"config_xml\":\"";
+        let tail = "\"}";
+        let chunk = r#"<task name=\"t\" period=\"50\"/>\n"#;
+        let mut body = String::with_capacity(max);
+        body.push_str(head);
+        while body.len() + chunk.len() + tail.len() <= max {
+            body.push_str(chunk);
+        }
+        while body.len() + tail.len() < max {
+            body.push('x');
+        }
+        body.push_str(tail);
+        assert_eq!(body.len(), max);
+
+        let doc = Json::parse(&body).unwrap();
+        let xml = doc.get("config_xml").and_then(Json::as_str).unwrap();
+        let chunks = (max - head.len() - tail.len()) / chunk.len();
+        let unescaped = "<task name=\"t\" period=\"50\"/>\n";
+        assert!(xml.starts_with(unescaped));
+        assert_eq!(
+            xml.len(),
+            chunks * unescaped.len() + (max - head.len() - tail.len()) % chunk.len()
+        );
+    }
+
+    #[test]
+    fn multibyte_runs_meet_escapes_and_surrogate_pairs() {
+        let doc = Json::parse(r#""é\n😀\u00e9\ud83d\ude00ü\"ß\\€""#).unwrap();
+        assert_eq!(doc.as_str(), Some("é\n😀é😀ü\"ß\\€"));
+        let doc = Json::parse(r#"{"ключ":"значение\tß","😀":"\ud83d\ude00😀"}"#).unwrap();
+        assert_eq!(doc.get("ключ").and_then(Json::as_str), Some("значение\tß"));
+        assert_eq!(doc.get("😀").and_then(Json::as_str), Some("😀😀"));
+    }
+
+    /// Error offsets name the first offending byte, also after a
+    /// multibyte run.
+    #[test]
+    fn string_error_offsets_point_at_the_offending_byte() {
+        for (text, offset, what) in [
+            ("\"ab\u{1}\"", 3, "raw control character in string"),
+            ("\"é\u{1f}x\"", 3, "raw control character in string"),
+            ("\"€€\n\"", 7, "raw control character in string"),
+            ("\"abc", 4, "unterminated string"),
+            ("\"é😀", 7, "unterminated string"),
+            ("\"a\\q\"", 3, "invalid escape"),
+            ("\"ü\\ud800x\"", 9, "unpaired high surrogate"),
+        ] {
+            let err = Json::parse(text).unwrap_err();
+            assert_eq!(err.offset, offset, "{text:?}: {err}");
+            assert_eq!(err.message, what, "{text:?}");
+        }
+    }
+
+    /// Whatever the response writer escapes, the request parser reads back
+    /// unchanged.
+    #[test]
+    fn json_escape_output_round_trips() {
+        const PALETTE: &[char] = &[
+            'a', 'Z', '0', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}',
+            'é', 'ß', '€', '\u{2028}', '\u{fffd}', '😀', '\u{10ffff}',
+        ];
+        let mut rng = swa_workload::Rng64::seed_from_u64(0x6a73_6f6e);
+        for _ in 0..500 {
+            let len = rng.gen_range(40);
+            let text: String = (0..len)
+                .map(|_| {
+                    if rng.gen_bool(0.5) {
+                        PALETTE[rng.gen_range(PALETTE.len())]
+                    } else {
+                        let code = u32::try_from(rng.gen_range(0x11_0000)).unwrap();
+                        char::from_u32(code).unwrap_or('x')
+                    }
+                })
+                .collect();
+            let quoted = format!("\"{}\"", swa_core::obs::json_escape(&text));
+            assert_eq!(Json::parse(&quoted).unwrap().as_str(), Some(text.as_str()));
+        }
     }
 
     #[test]

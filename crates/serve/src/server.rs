@@ -43,9 +43,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use swa_core::{
-    canonicalize, compositional_lookup, open_state_dir, Analyzer, CacheStats, CachedVerdict,
-    CanonicalRequest, CheckpointStats, CheckpointStore, LadderMode, MetricsRecorder, Recorder,
-    ShardedCheckpointStore, ShardedVerdictCache, VerdictCache, VerdictLadder,
+    canonicalize, compositional_lookup_canonical, compositional_verdict, open_state_dir, Analyzer,
+    CacheStats, CachedVerdict, CanonicalRequest, CheckpointStats, CheckpointStore, LadderMode,
+    MetricsRecorder, Recorder, ShardedCheckpointStore, ShardedVerdictCache, VerdictCache,
+    VerdictLadder,
 };
 
 use swa_sweep::{render_step_json, run_sweep, SweepEngine, SweepError, SweepEvent};
@@ -78,14 +79,17 @@ pub struct ServeOptions {
     pub queue_depth: usize,
     /// Verdict-cache byte budget.
     pub cache_bytes: usize,
-    /// Checkpoint-store byte budget (`0` disables warm starts). Clients
-    /// that re-analyze a configuration at a longer horizon resume the
-    /// earlier request's simulation instead of replaying it.
+    /// Checkpoint-store byte budget; `0` (the default) disables warm
+    /// starts. With a budget, clients that re-analyze a configuration at a
+    /// longer horizon resume the earlier request's simulation instead of
+    /// replaying it. Same-horizon repeats are answered by the verdict
+    /// cache, and summary-level composition never uses the store.
     pub checkpoint_bytes: usize,
     /// Analyze decomposable configurations per module and cache each
     /// module's verdict under its own key, so a request that edits one
-    /// module still hits warm entries for every unchanged sibling. The
-    /// composed verdict is identical to the whole-configuration verdict;
+    /// module analyzes that module alone and composes the cached verdicts
+    /// of its siblings. The composed verdict is identical to the
+    /// whole-configuration verdict;
     /// non-decomposable requests (cross-module messages, topologies)
     /// fall back transparently.
     pub compositional: bool,
@@ -121,7 +125,7 @@ impl Default for ServeOptions {
             workers: std::thread::available_parallelism().map_or(2, std::num::NonZeroUsize::get),
             queue_depth: 64,
             cache_bytes: 16 * 1024 * 1024,
-            checkpoint_bytes: 16 * 1024 * 1024,
+            checkpoint_bytes: 0,
             compositional: false,
             state_dir: None,
             io_timeout: Duration::from_secs(5),
@@ -719,7 +723,8 @@ fn analyze(inner: &Arc<Inner>, body: &[u8]) -> (u16, String) {
         // a cached answer when every module's verdict is warm (the
         // composed verdict is inserted back under the whole key).
         let cached = if inner.compositional {
-            compositional_lookup(&*inner.cache, &parsed.config, parsed.hyperperiods)
+            let hp = parsed.hyperperiods;
+            compositional_lookup_canonical(&*inner.cache, &parsed.config, &canon, hp)
         } else {
             inner.cache.lookup(&canon)
         };
@@ -822,33 +827,35 @@ fn run_leader(
             .horizon(parsed.hyperperiods)
             .recorder(job_inner.recorder.clone() as Arc<dyn Recorder>)
             .explain(parsed.explain);
-        // `no_cache` asks for a fresh simulation; honor it for warm
-        // starts too, not just the verdict cache.
-        if !parsed.no_cache {
-            if let Some(store) = &job_inner.checkpoints {
-                analyzer = analyzer.checkpoints(Arc::clone(store));
+        // Summary-level composition: only the modules whose verdict is not
+        // cached are analyzed. `no_cache` asks for a fresh simulation and
+        // takes the full path below; so do non-decomposable and `explain`
+        // requests (`compositional_verdict` declines them).
+        let composed = (job_inner.compositional && !parsed.no_cache)
+            .then(|| {
+                compositional_verdict(&analyzer, &*job_inner.cache, &parsed.config, &job_canon)
+            })
+            .flatten();
+        let result = composed.unwrap_or_else(|| {
+            // `no_cache` honors warm starts too, not just the verdict cache.
+            if !parsed.no_cache {
+                if let Some(store) = &job_inner.checkpoints {
+                    analyzer = analyzer.checkpoints(Arc::clone(store));
+                }
             }
-            if job_inner.compositional {
-                // The analyzer inserts per-module verdicts (and the whole
-                // key) itself, so the manual insert below is skipped.
-                analyzer = analyzer
-                    .compositional(true)
-                    .cache(Arc::clone(&job_inner.cache));
+            let report = analyzer.run()?;
+            let verdict = Arc::new(CachedVerdict::from_report(&report));
+            if !parsed.no_cache {
+                job_inner.cache.insert(&job_canon, Arc::clone(&verdict));
             }
-        }
-        let result = analyzer.run();
+            Ok(verdict)
+        });
         job_inner.recorder.counter("serve.analyses", 1);
         let reply = match result {
-            Ok(report) => {
-                let verdict = Arc::new(CachedVerdict::from_report(&report));
-                if !parsed.no_cache && !job_inner.compositional {
-                    job_inner.cache.insert(&job_canon, Arc::clone(&verdict));
-                }
-                JobReply::Done {
-                    verdict,
-                    check: started.elapsed(),
-                }
-            }
+            Ok(verdict) => JobReply::Done {
+                verdict,
+                check: started.elapsed(),
+            },
             Err(e) => JobReply::Failed(e.to_string()),
         };
         let _ = reply_tx.send(reply);

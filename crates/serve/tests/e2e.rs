@@ -119,6 +119,14 @@ fn two_module_config(wcet_b: i64) -> Configuration {
     }
 }
 
+/// The response body without its last field, `check_ms` (the only field
+/// that depends on timing).
+fn without_check_ms(body: &str) -> &str {
+    body.rsplit_once(",\"check_ms\":")
+        .expect("a verdict body ends with check_ms")
+        .0
+}
+
 #[test]
 fn compositional_server_reuses_unchanged_modules_across_edits() {
     let server = Server::start(&ServeOptions {
@@ -127,14 +135,15 @@ fn compositional_server_reuses_unchanged_modules_across_edits() {
     })
     .expect("bind loopback server");
     let addr = server.local_addr();
+    let recorder = server.recorder();
 
     let first = client::post(addr, "/analyze", &envelope(&two_module_config(10), "")).unwrap();
     assert_eq!(first.status, 200, "body: {}", first.body);
     let doc = Json::parse(&first.body).unwrap();
     assert_eq!(doc.get("cached").and_then(Json::as_bool), Some(false));
     assert_eq!(doc.get("schedulable").and_then(Json::as_bool), Some(true));
-    let recorder = server.recorder();
     assert_eq!(recorder.counter_value("serve.analyses"), 1);
+    assert_eq!(recorder.counter_value("compose.modules_analyzed"), 2);
     // One verdict per module plus the composed whole-configuration entry.
     assert_eq!(recorder.counter_value("cache.insertions"), 3);
 
@@ -144,17 +153,92 @@ fn compositional_server_reuses_unchanged_modules_across_edits() {
     assert_eq!(doc.get("cached").and_then(Json::as_bool), Some(true));
     assert_eq!(recorder.counter_value("serve.analyses"), 1);
 
-    // Editing one module simulates again, but the unchanged sibling
-    // resumes from its checkpoint: a full hit, not a fresh simulation.
-    let edited = client::post(addr, "/analyze", &envelope(&two_module_config(20), "")).unwrap();
+    // Editing module MB analyzes MB alone: MA's verdict comes from the
+    // cache, and nothing is rebuilt or resumed for it.
+    let hits_before = server.cache_stats().hits;
+    let edited_config = two_module_config(20);
+    let edited = client::post(addr, "/analyze", &envelope(&edited_config, "")).unwrap();
     assert_eq!(edited.status, 200, "body: {}", edited.body);
     let doc = Json::parse(&edited.body).unwrap();
     assert_eq!(doc.get("cached").and_then(Json::as_bool), Some(false));
     assert_eq!(doc.get("schedulable").and_then(Json::as_bool), Some(true));
-    assert!(
-        server.checkpoint_stats().full_hits >= 1,
-        "unchanged module should warm-start from its checkpoint"
+    assert_eq!(recorder.counter_value("serve.analyses"), 2);
+    assert_eq!(recorder.counter_value("compose.modules"), 4);
+    assert_eq!(
+        recorder.counter_value("compose.modules_analyzed"),
+        3,
+        "exactly one module of the edited configuration is analyzed"
     );
+    assert!(
+        server.cache_stats().hits > hits_before,
+        "the unchanged module must be a verdict-cache hit"
+    );
+    let ckpt = server.checkpoint_stats();
+    assert_eq!(
+        (ckpt.hits, ckpt.misses, ckpt.insertions),
+        (0, 0, 0),
+        "summary-level composition never touches the checkpoint store"
+    );
+
+    // The composed body equals the full compositional path's body for the
+    // same configuration, apart from the timing.
+    let report = swa_core::Analyzer::new(&edited_config)
+        .compositional(true)
+        .run()
+        .unwrap();
+    let full = swa_serve::render_verdict(
+        &swa_core::CachedVerdict::from_report(&report),
+        false,
+        swa_core::canonicalize(&edited_config, 1).key,
+        0.0,
+    );
+    assert_eq!(without_check_ms(&edited.body), without_check_ms(&full));
+    server.shutdown();
+}
+
+/// Checkpoints are opt-in: by default the server keeps none (and a
+/// `--state-dir` still opens its verdict tier), while an explicit budget
+/// keeps multi-hyperperiod warm starts working.
+#[test]
+fn checkpoints_are_opt_in_and_still_warm_start_longer_horizons() {
+    assert_eq!(ServeOptions::default().checkpoint_bytes, 0);
+    let config = small_config(10);
+    let state_dir = temp_state_dir("opt-in");
+    let off = ServeOptions {
+        checkpoint_bytes: 0,
+        state_dir: Some(state_dir.clone()),
+        ..test_options()
+    };
+    {
+        let server = Server::start(&off).expect("bind server without checkpoints");
+        for extra in ["", ",\"hyperperiods\":2"] {
+            let resp = client::post(server.local_addr(), "/analyze", &envelope(&config, extra))
+                .unwrap();
+            assert_eq!(resp.status, 200, "body: {}", resp.body);
+        }
+        assert_eq!(server.checkpoint_stats().insertions, 0);
+        assert_eq!(server.recorder().counter_value("checkpoint.misses"), 0);
+        server.shutdown();
+    }
+    // The verdict tier persisted without a checkpoint store.
+    let server = Server::start(&off).expect("bind restarted server");
+    let again = client::post(server.local_addr(), "/analyze", &envelope(&config, "")).unwrap();
+    let doc = Json::parse(&again.body).unwrap();
+    assert_eq!(doc.get("cached").and_then(Json::as_bool), Some(true), "{}", again.body);
+    server.shutdown();
+    std::fs::remove_dir_all(&state_dir).ok();
+
+    let server = Server::start(&ServeOptions {
+        checkpoint_bytes: 1024 * 1024,
+        ..test_options()
+    })
+    .expect("bind server with checkpoints");
+    let addr = server.local_addr();
+    client::post(addr, "/analyze", &envelope(&config, "")).unwrap();
+    let longer = client::post(addr, "/analyze", &envelope(&config, ",\"hyperperiods\":2")).unwrap();
+    let doc = Json::parse(&longer.body).unwrap();
+    assert_eq!(doc.get("cached").and_then(Json::as_bool), Some(false));
+    assert_eq!(server.checkpoint_stats().hits, 1, "the hyperperiods:2 run warm-started");
     server.shutdown();
 }
 
